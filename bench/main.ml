@@ -1190,9 +1190,9 @@ let fig_churn () =
       else
         List.iter
           (fun sh ->
-            ignore
-              (Rp_engine.Shard.dispatch sh ~now:0L
-                 (Mbuf.synth ~key ~len:1000 ())))
+            Rp_engine.Shard.dispatch_batch sh
+              [| Mbuf.synth ~key ~len:1000 () |]
+              ~n:1 ~emit:ignore)
           shards
     done;
     let churn_filter i =

@@ -1,9 +1,9 @@
 open Rp_pkt
 
-(* The one classify-and-charge implementation: [Ip_core.classify_at]
-   and [Rp_engine.Shard]'s data path both delegate here, so the two
-   engines cannot drift (a regression test pins cycle-for-cycle
-   equality).  Nothing here depends on which classifier mode the AIU
+(* The one classify-and-charge implementation: the shared pipeline
+   ([Ip_core.run]) classifies through here against the router's AIU
+   inline and a shard's private one sharded, so the two engines cannot
+   drift (a regression test pins cycle-for-cycle equality).  Nothing here depends on which classifier mode the AIU
    runs — the accesses are measured, not modeled. *)
 let at aiu ~now ~gate m =
   let had_fix = m.Mbuf.fix <> None in

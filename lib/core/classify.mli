@@ -1,12 +1,11 @@
 (** The single classification entry point shared by every engine.
 
-    Both the inline data path ({!Ip_core}) and the sharded workers
-    ([Rp_engine.Shard]) must charge a gate's classification
-    identically — the flow hash on the packet's first AIU consult, the
-    measured memory accesses of whatever lookups the AIU performed,
-    one gate-invocation overhead — or the Table-3 model figures drift
-    between engines.  Those two call sites used to be hand-kept
-    copies; this module is the one implementation they now share. *)
+    The data path ({!Ip_core.run}) classifies through here against the
+    router's AIU inline and a shard's private AIU sharded, so a gate's
+    classification charges identically on both — the flow hash on the
+    packet's first AIU consult, the measured memory accesses of
+    whatever lookups the AIU performed, one gate-invocation overhead —
+    and the Table-3 model figures cannot drift between engines. *)
 
 open Rp_pkt
 

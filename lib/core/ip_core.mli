@@ -25,8 +25,8 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** [process router ~now m] runs one packet through the router's data
-    path, returning what happened to it.  [m.key.iface] must identify
-    the receiving interface. *)
+    path — a batch of one through {!run} — returning what happened to
+    it.  [m.key.iface] must identify the receiving interface. *)
 val process : Router.t -> now:int64 -> Mbuf.t -> verdict
 
 (** [process_batch router ~now batch ~n] runs [batch.(0 .. n-1)]
@@ -34,13 +34,13 @@ val process : Router.t -> now:int64 -> Mbuf.t -> verdict
     pre-routing gates, punt, routing, post-routing gates, enqueue)
     walks the whole batch before the next begins, so the gate-enabled
     checks and counter updates are amortised across the batch.
-    Per-packet verdicts, cost-model charges and metric totals are
-    identical to calling {!process} on each packet in batch order —
-    only the interleaving of gate invocations differs.  (SLO latency
-    {e distributions} are the one observable consequence: a batched
-    packet's ingress→verdict span genuinely includes its batchmates'
-    gate-major processing.)  [emit] is called once per packet, in
-    input order, with the packet's verdict. *)
+    Both run {!run}, so per-packet verdicts, cost-model charges and
+    metric totals are identical to calling {!process} on each packet in
+    batch order — only the interleaving of gate invocations differs.
+    (SLO latency {e distributions} are the one observable consequence:
+    a batched packet's ingress→verdict span genuinely includes its
+    batchmates' gate-major processing.)  [emit] is called once per
+    packet, in input order, with the packet's verdict. *)
 val process_batch :
   Router.t ->
   ?emit:(Mbuf.t -> verdict -> unit) ->
@@ -54,31 +54,64 @@ val process_batch :
     handler's action ([Continue] when no instance is bound). *)
 val invoke_gate : Router.t -> now:int64 -> gate:Gate.t -> Mbuf.t -> Plugin.action
 
-(** The inline gates run before (ip-options, security-in, firewall)
-    and after (congestion, security-out, stats) the routing decision —
-    the gate order of Figure 3, exposed so the sharded engine's worker
-    dispatch mirrors the same traversal. *)
+(** {2 The shared pipeline}
 
-val inline_gates_pre : Gate.t list
-val inline_gates_post : Gate.t list
+    Both engines run every packet through one gate-major pipeline,
+    {!run}, over a context naming what differs between them.  The
+    inline engine's context ({!process}, {!process_batch},
+    {!invoke_gate}) carries the router; a shard's carries its private
+    compiled state and no router, which leaves out the router-local
+    stages listed in [Rp_engine.Engine]. *)
 
-(** {2 Latency SLO hooks}
+(** Verdict counters of one context. *)
+type tally = {
+  packets : Rp_obs.Counter.t;
+  forwarded : Rp_obs.Counter.t;
+  delivered : Rp_obs.Counter.t;
+  absorbed : Rp_obs.Counter.t;
+  dropped : Rp_obs.Counter.t;
+}
 
-    Shared with the sharded engine's worker dispatch so both engines
-    stamp and close identically.  All three only {e read} the {!Cost}
-    clock, so Table-3 cycles are byte-identical with stamping on or
-    off. *)
+(** Where contained plugin faults go. *)
+type sink =
+  | Attribute of Router.t
+      (** into the router's PCU at once (auto-quarantine, [Unbind]) *)
+  | Defer of (int * string) list array
+      (** per batch slot, as (instance id, reason) events the pipeline
+          hands to [emit]; slots are reset on entry, and the array must
+          hold at least [n] slots *)
 
-(** Stamp [m] with the calling domain's cycle clock (when
-    {!Rp_obs.Slo.on}); when exemplar capture is armed, ensure and zero
-    the mbuf's per-gate attribution array. *)
-val slo_open : Mbuf.t -> unit
+(** The [now] handed to plugins, punt handlers and queues. *)
+type clock =
+  | At of int64  (** the caller's time, for every packet *)
+  | Birth  (** each packet's [birth_ns] *)
 
-(** Accumulate [cycles] against [gate] in [m]'s attribution array
-    (no-op until {!slo_open} armed the packet). *)
-val slo_attrib : Mbuf.t -> gate:Gate.t -> int -> unit
+type ctx = {
+  aiu : Plugin.t Rp_classifier.Aiu.t;
+  routes : Route_table.t;
+  gates : Gate.t list;  (** enabled gates *)
+  meters : Gate.Meters.t;
+  tally : tally;
+  policy : Fault.policy;
+  budget : int option;  (** per-invocation handler cycle budget *)
+  sink : sink;
+  shard : int;  (** SLO histogram index *)
+  clock : clock;
+  local : Router.t option;
+      (** router-local stages — punt and local delivery, ICMP errors
+          and echo replies, interface rx counters, the scheduling gate,
+          fragmentation and enqueue — run only when present.  Without
+          it a routed packet's verdict is [Enqueued out] with no queue
+          behind it. *)
+}
 
-(** Observe the ingress→verdict latency into the [shard]'s histograms
-    (split by verdict class) and capture a breach exemplar when the
-    configured SLO (or the top latency bucket) is exceeded. *)
-val slo_close : shard:int -> Mbuf.t -> verdict -> unit
+(** [run ctx batch ~n ~emit] runs [batch.(0 .. n-1)] through the data
+    path and calls [emit m verdict faults] once per packet, in input
+    order; [faults] is the packet's deferred fault events, oldest first
+    ([[]] under [Attribute]). *)
+val run :
+  ctx ->
+  Mbuf.t array ->
+  n:int ->
+  emit:(Mbuf.t -> verdict -> (int * string) list -> unit) ->
+  unit

@@ -50,10 +50,8 @@ let iface t i =
 
 let aiu t = Pcu.aiu t.pcu
 
-let gate_enabled t g =
-  match t.mode with
-  | Best_effort -> false
-  | Plugins -> List.exists (Gate.equal g) t.enabled_gates
+let gates t = match t.mode with Best_effort -> [] | Plugins -> t.enabled_gates
+let gate_enabled t g = List.exists (Gate.equal g) (gates t)
 
 let enable_gates t gs = t.enabled_gates <- gs
 

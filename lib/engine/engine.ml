@@ -366,35 +366,28 @@ let shard_flow_keys t i =
     !keys
   | Sharded _ -> Shard.flow_keys t.shard_tbl.(i)
 
-let verdict_to_outcome = function
-  | Ip_core.Enqueued i -> Shard.Forwarded i
-  | Ip_core.Delivered_local -> Shard.Absorbed
-  | Ip_core.Absorbed -> Shard.Absorbed
-  | Ip_core.Dropped why -> Shard.Dropped why
+(* Inline results are emitted straight into the drain queue.  The
+   engine has no transmit loop, so a forwarded packet's output queue is
+   pulled empty here to keep it from filling. *)
+let inline_emit t ~now m verdict =
+  (match verdict with
+   | Ip_core.Enqueued out ->
+     let ifc = Router.iface t.router out in
+     while Option.is_some (Iface.dequeue ifc ~now) do () done
+   | Ip_core.Delivered_local | Ip_core.Absorbed | Ip_core.Dropped _ -> ());
+  Queue.add
+    { Shard.m; outcome = Shard.outcome_of_verdict verdict; faults = [] }
+    t.inline_q
 
-let submit t ~now m =
-  m.Mbuf.birth_ns <- now;
+(* Inline: one [Ip_core.process_batch] sweep (a lone [submit] is a
+   batch of one).  Sharded: packets of one batch hash to different
+   shards, so distribution stays per-packet pushes; the batching win
+   there is on the worker side ([Shard.dispatch_batch]). *)
+let rec submit t ~now m =
   match t.mode with
-  | Inline ->
-    Rp_obs.Counter.inc t.m_submitted;
-    let verdict = Ip_core.process t.router ~now m in
-    (match verdict with
-     | Ip_core.Enqueued out ->
-       (* Keep the output queue from filling: the engine has no
-          transmit loop, so pull what the data path queued. *)
-       let ifc = Router.iface t.router out in
-       let rec drain_iface () =
-         match Iface.dequeue ifc ~now with
-         | Some _ -> drain_iface ()
-         | None -> ()
-       in
-       drain_iface ()
-     | _ -> ());
-    Queue.add
-      { Shard.m; outcome = verdict_to_outcome verdict; faults = [] }
-      t.inline_q;
-    true
+  | Inline -> submit_batch t ~now [| m |] ~n:1 = 1
   | Sharded n ->
+    m.Mbuf.birth_ns <- now;
     let s = t.rss m.Mbuf.key land max_int mod n in
     if Spsc.push t.rx.(s) m then begin
       Rp_obs.Counter.inc t.m_submitted;
@@ -406,13 +399,7 @@ let submit t ~now m =
       false
     end
 
-(* Batched submission.  Inline: one [Ip_core.process_batch] sweep over
-   the whole batch — the engine-level bookkeeping (submit counter,
-   output-queue drain, inline result queue) hangs off the batch path's
-   per-packet [emit].  Sharded: packets of one batch hash to different
-   shards, so distribution stays per-packet pushes; the batching win
-   there is on the worker side ([Shard.dispatch_batch]). *)
-let submit_batch t ~now batch ~n =
+and submit_batch t ~now batch ~n =
   if n < 0 || n > Array.length batch then
     invalid_arg "Engine.submit_batch: n out of range";
   match t.mode with
@@ -422,19 +409,7 @@ let submit_batch t ~now batch ~n =
     done;
     if n > 0 then Rp_obs.Counter.add t.m_submitted n;
     Ip_core.process_batch t.router ~now batch ~n ~emit:(fun m verdict ->
-        (match verdict with
-         | Ip_core.Enqueued out ->
-           let ifc = Router.iface t.router out in
-           let rec drain_iface () =
-             match Iface.dequeue ifc ~now with
-             | Some _ -> drain_iface ()
-             | None -> ()
-           in
-           drain_iface ()
-         | _ -> ());
-        Queue.add
-          { Shard.m; outcome = verdict_to_outcome verdict; faults = [] }
-          t.inline_q);
+        inline_emit t ~now m verdict);
     n
   | Sharded _ ->
     let accepted = ref 0 in

@@ -23,8 +23,31 @@
 
     [Inline] runs the full single-domain {!Rp_core.Ip_core} path
     synchronously in [submit] — bit-for-bit the deterministic behavior
-    of the rest of the repository — so callers can treat both modes
-    uniformly.
+    of the rest of the repository.
+
+    Both modes run the same {!Rp_core.Ip_core.run} pipeline, but a
+    shard has no router, so [Sharded] leaves out the router-local
+    stages.  This is the complete list of what differs:
+    - local punt handlers and local delivery: a packet for one of the
+      router's own addresses is routed like any other, and echo
+      requests are not answered;
+    - ICMP errors: TTL expiry, no route and DF-too-big drop silently
+      ([Router.icmp_sent] does not move);
+    - interface rx counters ([Iface.count_rx]);
+    - success reports to the PCU ([Pcu.record_success]), so a success
+      does not reset an instance's consecutive-fault count;
+    - the scheduling gate, fragmentation and the output queue: DRR and
+      H-FSC never run, and [Forwarded i] only names the egress
+      interface;
+    - faults reach the PCU on {!drain}, not at once, and the [Unbind]
+      policy quarantines there too;
+    - gates are metered under [engine.shard<i>.] (faults also under
+      the process-wide [gate.]), verdicts under [engine.shard<i>.]
+      instead of [ip_core.], and each packet's [now] is its
+      [birth_ns].
+    Everything else — gates, routing, fault containment, telemetry,
+    SLO latency, flow accounting and the verdicts themselves — is the
+    same code on both, pinned by the engine tests.
 
     Full rings drop rather than block ({!submit} returns [false] and
     the engine counts a backpressure drop), like a NIC RX ring. *)

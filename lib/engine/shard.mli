@@ -9,14 +9,13 @@
     on the same shard, keeping per-flow soft state coherent without
     locks.
 
-    [dispatch] mirrors the single-domain {!Rp_core.Ip_core} data path
-    (base-forward charge, TTL, pre gates, routing gate/table, post
-    gates, fault containment) with the control-plane pieces removed:
-    no fragmentation, no ICMP generation, no local punt/delivery —
-    those need shared router state and stay on the control domain.
-    Faults are contained locally (counted, policy applied) and
-    reported in the {!result}; the control domain attributes them to
-    the PCU when it drains, so workers never mutate shared state. *)
+    A shard runs the one {!Rp_core.Ip_core.run} pipeline over its own
+    context: no router, so the router-local stages are left out (the
+    full list is in {!Engine}); gates metered under the shard's prefix;
+    each packet's [birth_ns] as its [now].  Faults are contained
+    locally (counted, policy applied) and reported in the {!result};
+    the control domain attributes them to the PCU when it drains, so
+    workers never mutate shared state. *)
 
 open Rp_pkt
 open Rp_core
@@ -41,8 +40,8 @@ type t
 
 val create : index:int -> Snapshot.t -> t
 
-val index : t -> int
-val meters : t -> Gate.Meters.t
+(** The outcome of an inline verdict ([Delivered_local] is [Absorbed]). *)
+val outcome_of_verdict : Ip_core.verdict -> outcome
 
 (** Snapshot generation this shard last compiled. *)
 val seen_gen : t -> int
@@ -56,15 +55,9 @@ val seen_gen : t -> int
     cache.  Runs on the shard's own domain. *)
 val sync : t -> Snapshot.t -> unit
 
-(** [dispatch t ~now m] runs one packet; must only be called from the
-    shard's own domain. *)
-val dispatch : t -> now:int64 -> Mbuf.t -> result
-
 (** [dispatch_batch t batch ~n ~emit] runs [batch.(0 .. n-1)] through
     the shard data path in one gate-major sweep, calling [emit] once
-    per packet in input order with its {!result}.  Per-packet outcomes
-    and cost-model charges are identical to [n] {!dispatch} calls
-    (each packet's [birth_ns] is its [now]); the per-gate meter
+    per packet in input order with its {!result}.  The per-gate meter
     updates — atomic counters on worker domains — are batched to one
     add per gate per batch.  Must only be called from the shard's own
     domain. *)

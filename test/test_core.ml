@@ -458,23 +458,33 @@ let test_sched_gate_metering_parity () =
   Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
   let dispatch0 = Rp_obs.Counter.get (Gate.dispatch Gate.Scheduling) in
   let drops0 = Rp_obs.Counter.get (Gate.drops Gate.Scheduling) in
-  Rp_obs.Trace.clear ();
-  Rp_obs.Trace.enabled := true;
+  Rp_obs.Telemetry.enable ~every:1;
   ignore (Ip_core.process r ~now:0L (mk_pkt ()));
   (* Second packet overflows the 1-slot FIFO: a drop at the
      scheduling gate, metered like any other gate drop. *)
   (match Ip_core.process r ~now:1L (mk_pkt ~sport:1001 ()) with
    | Ip_core.Dropped "output queue" -> ()
    | v -> Alcotest.failf "expected queue drop, got %a" Ip_core.pp_verdict v);
-  Rp_obs.Trace.enabled := false;
+  Rp_obs.Telemetry.disable ();
   check int_t "dispatch counted per packet" 2
     (Rp_obs.Counter.get (Gate.dispatch Gate.Scheduling) - dispatch0);
   check int_t "queue drop counted at the gate" 1
     (Rp_obs.Counter.get (Gate.drops Gate.Scheduling) - drops0);
-  check bool_t "trace span emitted for the scheduling gate" true
-    (List.exists
-       (fun (s : Rp_obs.Trace.span) -> s.Rp_obs.Trace.name = "gate.scheduling")
-       (Rp_obs.Trace.spans ()))
+  (* Both packets were sampled: each traversal of the scheduling gate
+     is bracketed by a Gate_enter/Gate_exit telemetry pair. *)
+  let sched kind =
+    List.length
+      (List.filter
+         (fun (e : Rp_obs.Telemetry.event) ->
+           e.Rp_obs.Telemetry.kind = kind
+           && e.Rp_obs.Telemetry.gate = Gate.to_int Gate.Scheduling)
+         (Rp_obs.Telemetry.events ()))
+  in
+  check int_t "gate_enter events at the scheduling gate" 2
+    (sched Rp_obs.Telemetry.Gate_enter);
+  check int_t "gate_exit events at the scheduling gate" 2
+    (sched Rp_obs.Telemetry.Gate_exit);
+  Rp_obs.Telemetry.clear ()
 
 (* --- misc edge cases --------------------------------------------------- *)
 
@@ -533,87 +543,181 @@ let verdict_equal a b =
   | Ip_core.Dropped x, Ip_core.Dropped y -> String.equal x y
   | _ -> false
 
-(* A router with enough bound plugins that batching has something to
-   interleave: a TCP deny at the firewall gate, stats on everything,
-   one local address, one route, and the no-route default drop. *)
+(* A router with enough bound plugins and output stages that batching
+   has something to interleave: a TCP deny at the firewall gate, stats
+   on everything, one local address, the no-route default drop, and
+   three egress interfaces — if1 (192.168/16) under DRR bound at the
+   scheduling gate, if2 (172.16/16) a 1-slot FIFO that drops whatever
+   queues behind its first packet, if3 (10.9/16) a 576-byte MTU that
+   fragments, or refuses a DF datagram with an ICMP error. *)
 let batch_router () =
-  let r = mk_router () in
-  Router.add_local_addr r (Ipaddr.v4 192 168 7 7);
-  ok (Pcu.modload r.Router.pcu (module Firewall_plugin));
-  let deny =
-    ok (Pcu.create_instance r.Router.pcu ~plugin:"firewall" [ ("policy", "deny") ])
+  let ifaces =
+    [
+      Iface.create ~id:0 ();
+      Iface.create ~id:1 ();
+      Iface.create ~id:2 ~fifo_limit:1 ();
+      Iface.create ~id:3 ~mtu:576 ();
+    ]
   in
-  ok
-    (Pcu.register_instance r.Router.pcu ~instance:deny.Plugin.instance_id
+  let r = Router.create ~ifaces () in
+  Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
+  Router.add_route r (Prefix.of_string "172.16.0.0/16") ~iface:2 ();
+  Router.add_route r (Prefix.of_string "10.9.0.0/16") ~iface:3 ();
+  Router.add_local_addr r (Ipaddr.v4 192 168 7 7);
+  let bind plugin config filter =
+    let inst = ok (Pcu.create_instance r.Router.pcu ~plugin config) in
+    ok
+      (Pcu.register_instance r.Router.pcu ~instance:inst.Plugin.instance_id
+         filter);
+    inst
+  in
+  ok (Pcu.modload r.Router.pcu (module Firewall_plugin));
+  ignore
+    (bind "firewall" [ ("policy", "deny") ]
        (Rp_classifier.Filter.v4 ~proto:Proto.tcp ()));
   ok (Pcu.modload r.Router.pcu (module Stats_plugin));
-  let st = ok (Pcu.create_instance r.Router.pcu ~plugin:"stats" []) in
-  ok
-    (Pcu.register_instance r.Router.pcu ~instance:st.Plugin.instance_id
-       (Rp_classifier.Filter.v4 ()));
+  ignore (bind "stats" [] (Rp_classifier.Filter.v4 ()));
+  ok (Pcu.modload r.Router.pcu (module Rp_sched.Drr_plugin));
+  let drr =
+    bind "drr" []
+      (Rp_classifier.Filter.v4 ~dst:(Prefix.of_string "192.168.0.0/16") ())
+  in
+  Iface.attach_scheduler (Router.iface r 1) drr;
   r
 
-(* Mixed stream: forwards, no-route drops, TTL expiries, firewall
-   drops, local deliveries — every verdict arm of the data path. *)
+(* Mixed stream: forwards through DRR, no-route drops, TTL expiries,
+   firewall drops, local deliveries, 1-slot queue drops, fragmented
+   and DF-refused oversize datagrams — every verdict arm of the data
+   path. *)
 let batch_stream ~seed ~count =
   let rng = Random.State.make [| seed |] in
   Array.init count (fun _ ->
-      let roll = Random.State.int rng 10 in
+      let roll = Random.State.int rng 14 in
       let dst =
-        if roll = 0 then "8.8.8.8"
-        else if roll = 1 then "192.168.7.7"
-        else Printf.sprintf "192.168.1.%d" (1 + Random.State.int rng 8)
+        match roll with
+        | 0 -> "8.8.8.8"
+        | 1 -> "192.168.7.7"
+        | 10 -> "172.16.0.1"
+        | 11 | 12 -> Printf.sprintf "10.9.0.%d" (1 + Random.State.int rng 4)
+        | _ -> Printf.sprintf "192.168.1.%d" (1 + Random.State.int rng 8)
       in
       let ttl = if roll = 2 then 1 else 64 in
-      let proto = if roll >= 8 then Proto.tcp else Proto.udp in
+      let proto = if roll = 8 || roll = 9 then Proto.tcp else Proto.udp in
       let sport = 1024 + Random.State.int rng 16 in
-      mk_pkt ~ttl ~dst ~proto ~sport ())
+      let m = mk_pkt ~ttl ~dst ~proto ~sport () in
+      if roll = 12 then m.Mbuf.dont_fragment <- true;
+      m)
+
+(* Every counter the data path moves: per-gate dispatch/cycles/drops,
+   the ip_core verdict counters and fragment drops, and the drop
+   reasons. *)
+let data_path_counters () =
+  let get = Rp_obs.Counter.get in
+  List.concat_map
+    (fun g ->
+      [
+        (Gate.name g ^ ".dispatch", get (Gate.dispatch g));
+        (Gate.name g ^ ".cycles", get (Gate.cycles g));
+        (Gate.name g ^ ".drops", get (Gate.drops g));
+      ])
+    Gate.all
+  @ List.map
+      (fun n -> (n, get (Rp_obs.Registry.counter n)))
+      [
+        "ip_core.packets"; "ip_core.forwarded"; "ip_core.delivered_local";
+        "ip_core.absorbed"; "ip_core.dropped"; "ip_core.fragment_drops";
+      ]
+  @ List.map
+      (fun (reason, n) -> ("drops." ^ Rp_obs.Drop_reason.name reason, n))
+      (Rp_obs.Drop_reason.table ())
+
+let counter_deltas f =
+  let before = data_path_counters () in
+  let result = f () in
+  let deltas =
+    List.map2 (fun (n, a) (_, b) -> (n, b - a)) before (data_path_counters ())
+  in
+  (result, deltas)
+
+type batch_side = {
+  verdicts : Ip_core.verdict array;
+  cost : int;
+  backlogs : int list;
+  icmp_sent : int;
+  counters : (string * int) list;
+}
 
 (* Run the same stream through [process] per packet on one router and
-   through [process_batch] on an identical second router; return the
-   verdict arrays, the charged model cycles of each, and the output
-   backlogs. *)
+   through [process_batch] on an identical second router. *)
 let batch_vs_packet ~seed ~count =
-  let a = batch_router () in
-  let b = batch_router () in
-  let pkts_a = batch_stream ~seed ~count in
-  let pkts_b = batch_stream ~seed ~count in
-  let va, cost_a =
-    Cost.measure (fun () -> Array.map (Ip_core.process a ~now:0L) pkts_a)
+  let side run =
+    let r = batch_router () in
+    let pkts = batch_stream ~seed ~count in
+    let (verdicts, cost), counters =
+      counter_deltas (fun () -> Cost.measure (fun () -> run r pkts))
+    in
+    {
+      verdicts;
+      cost;
+      backlogs =
+        List.map (fun i -> Iface.backlog (Router.iface r i)) [ 1; 2; 3 ];
+      icmp_sent = r.Router.icmp_sent;
+      counters;
+    }
   in
-  let acc = ref [] in
-  let (), cost_b =
-    Cost.measure (fun () ->
-        Ip_core.process_batch b ~now:0L pkts_b ~n:count ~emit:(fun _ v ->
-            acc := v :: !acc))
+  let a = side (fun r pkts -> Array.map (Ip_core.process r ~now:0L) pkts) in
+  let b =
+    side (fun r pkts ->
+        let acc = ref [] in
+        Ip_core.process_batch r ~now:0L pkts ~n:count ~emit:(fun _ v ->
+            acc := v :: !acc);
+        Array.of_list (List.rev !acc))
   in
-  let vb = Array.of_list (List.rev !acc) in
-  let backlog r = Iface.backlog (Router.iface r 1) in
-  (va, vb, cost_a, cost_b, backlog a, backlog b)
+  (a, b)
+
+let sides_equal a b =
+  Array.length a.verdicts = Array.length b.verdicts
+  && Array.for_all2 verdict_equal a.verdicts b.verdicts
+  && a.cost = b.cost && a.backlogs = b.backlogs && a.icmp_sent = b.icmp_sent
+  && a.counters = b.counters
 
 let test_batch_equals_packet () =
-  let va, vb, cost_a, cost_b, qa, qb = batch_vs_packet ~seed:7 ~count:64 in
-  check int_t "one verdict per packet" (Array.length va) (Array.length vb);
+  let a, b = batch_vs_packet ~seed:7 ~count:64 in
+  check int_t "one verdict per packet" (Array.length a.verdicts)
+    (Array.length b.verdicts);
   Array.iteri
     (fun i v ->
-      if not (verdict_equal v vb.(i)) then
+      if not (verdict_equal v b.verdicts.(i)) then
         Alcotest.failf "packet %d: %a per-packet vs %a batched" i
-          Ip_core.pp_verdict v Ip_core.pp_verdict vb.(i))
-    va;
-  check int_t "identical model cycles" cost_a cost_b;
-  check int_t "identical output backlog" qa qb
+          Ip_core.pp_verdict v Ip_core.pp_verdict b.verdicts.(i))
+    a.verdicts;
+  check int_t "identical model cycles" a.cost b.cost;
+  check (Alcotest.list int_t) "identical output backlogs" a.backlogs b.backlogs;
+  check int_t "identical icmp_sent" a.icmp_sent b.icmp_sent;
+  List.iter2
+    (fun (n, x) (_, y) -> check int_t ("identical " ^ n) x y)
+    a.counters b.counters;
+  (* The stream really reaches every stage the property covers. *)
+  let moved n = List.assoc n a.counters > 0 in
+  check bool_t "scheduling gate dispatched" true (moved "scheduling.dispatch");
+  check bool_t "scheduling-gate queue drops" true (moved "scheduling.drops");
+  check bool_t "fragmented datagrams forwarded" true
+    (Array.exists
+       (function Ip_core.Enqueued 3 -> true | _ -> false)
+       a.verdicts);
+  check bool_t "DF refused" true
+    (Array.exists
+       (function Ip_core.Dropped "needs fragmentation" -> true | _ -> false)
+       a.verdicts);
+  check bool_t "icmp errors sent" true (a.icmp_sent > 0)
 
 let prop_batch_equals_packet =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:25 ~name:"process_batch matches process"
        (QCheck2.Gen.int_bound 100_000)
        (fun seed ->
-         let va, vb, cost_a, cost_b, qa, qb =
-           batch_vs_packet ~seed ~count:32
-         in
-         cost_a = cost_b && qa = qb
-         && Array.length va = Array.length vb
-         && Array.for_all2 verdict_equal va vb))
+         let a, b = batch_vs_packet ~seed ~count:32 in
+         sides_equal a b))
 
 let () =
   Alcotest.run "rp_core"

@@ -830,7 +830,175 @@ let test_sharded_telemetry () =
   check bool_t "trace has per-gate complete spans" true
     (contains ~needle:"\"name\":\"gate.ip-options\"" json
     && contains ~needle:"\"ph\":\"X\"" json);
-  Rp_obs.Telemetry.clear ()
+  Rp_obs.Telemetry.clear ();
+  (* A Gate_exit event's arg is the traversal's memory accesses on both
+     engines: the same traffic through [Inline] and [Sharded 1] (one
+     flow table each, same insertion order) must record the same
+     (gate, accesses) exits — the scheduling gate, which only the
+     inline engine runs, set aside. *)
+  let gate_exits mode =
+    let r = mk_router () in
+    ignore (bind_counting r ~gate:Gate.Firewall ~name:"exit-args");
+    let e = Engine.create mode r in
+    Rp_obs.Telemetry.enable ~every:1;
+    for f = 0 to 7 do
+      for _ = 1 to 3 do
+        while not (Engine.submit e ~now:0L (mk_pkt ~sport:(9300 + f) ())) do
+          ignore (Engine.drain e ~f:ignore)
+        done
+      done
+    done;
+    ignore (Engine.flush e ~f:ignore);
+    Rp_obs.Telemetry.disable ();
+    Engine.stop e;
+    let exits =
+      List.filter_map
+        (fun (ev : Rp_obs.Telemetry.event) ->
+          if ev.Rp_obs.Telemetry.kind = Rp_obs.Telemetry.Gate_exit
+             && ev.Rp_obs.Telemetry.gate <> Gate.to_int Gate.Scheduling
+          then Some (ev.Rp_obs.Telemetry.gate, ev.Rp_obs.Telemetry.arg)
+          else None)
+        (Rp_obs.Telemetry.events ())
+    in
+    Rp_obs.Telemetry.clear ();
+    List.sort compare exits
+  in
+  let inline = gate_exits Inline in
+  let sharded = gate_exits (Sharded 1) in
+  check int_t "one exit per gate traversal" (8 * 3 * 7) (List.length inline);
+  check bool_t "exits carry the accesses" true
+    (List.exists (fun (_, a) -> a > 0) inline);
+  check
+    Alcotest.(list (pair int int))
+    "sharded Gate_exit args = inline" inline sharded
+
+(* --- the sharded subset ------------------------------------------------ *)
+
+(* Engine.mli lists the router-local stages a shard leaves out.  Each
+   documented difference is pinned here on [Inline] vs [Sharded 1] over
+   identical routers and traffic; the cases outside the subset must
+   come out identical. *)
+let subset_pkt ?(ttl = 64) ?(proto = Proto.udp) ?(sport = 1000) dst =
+  let key =
+    Flow_key.make ~src:(Ipaddr.v4 10 0 0 1) ~dst ~proto ~sport ~dport:9000
+      ~iface:0
+  in
+  Mbuf.synth ~ttl ~key ~len:1000 ()
+
+(* One local address; a TCP-deny firewall; DRR bound at the scheduling
+   gate and attached to the egress interface; and a fault injector at
+   the stats gate that faults on every 2nd packet from port 4000. *)
+let subset_router () =
+  let r = mk_router () in
+  let pcu = r.Router.pcu in
+  Router.add_local_addr r (Ipaddr.v4 192 168 7 7);
+  let bind name config filter =
+    let inst = ok (Pcu.create_instance pcu ~plugin:name config) in
+    ok (Pcu.register_instance pcu ~instance:inst.Plugin.instance_id filter);
+    inst
+  in
+  ok (Pcu.modload pcu (module Firewall_plugin));
+  ignore
+    (bind "firewall" [ ("policy", "deny") ]
+       (Rp_classifier.Filter.v4 ~proto:Proto.tcp ()));
+  ok (Pcu.modload pcu (module Rp_sched.Drr_plugin));
+  let drr = bind "drr" [] (Rp_classifier.Filter.v4 ~proto:Proto.udp ()) in
+  Iface.attach_scheduler (Router.iface r 1) drr;
+  ok (Pcu.modload pcu (Fault_plugin.make ~gate:Gate.Stats ~name:"fault-stats"));
+  let faulty =
+    bind "fault-stats" [ ("every", "2") ]
+      (Rp_classifier.Filter.v4 ~sport:(Rp_classifier.Filter.Port 4000) ())
+  in
+  (r, faulty.Plugin.instance_id)
+
+type subset_run = {
+  outcomes : string list;
+  icmp_sent : int;
+  rx : int;  (* interface 0 rx_packets *)
+  sched_dispatch : int;  (* gate.scheduling.dispatch delta *)
+  consecutive : int;  (* the fault injector's consecutive-fault count *)
+}
+
+let subset_run mode pkts =
+  let r, faulty = subset_router () in
+  let e = Engine.create mode r in
+  let sched0 = counter_get "gate.scheduling.dispatch" in
+  let outcomes = ref [] in
+  let record (res : Shard.result) =
+    outcomes :=
+      (match res.Shard.outcome with
+       | Shard.Forwarded i -> Printf.sprintf "fwd:%d" i
+       | Shard.Absorbed -> "absorbed"
+       | Shard.Dropped why -> "drop:" ^ why)
+      :: !outcomes
+  in
+  (* One at a time, in order: the fault injector counts packets. *)
+  List.iter
+    (fun m ->
+      assert (Engine.submit e ~now:0L m);
+      ignore (Engine.flush e ~f:record))
+    (pkts ());
+  Engine.stop e;
+  ignore (Engine.drain e ~f:record);
+  let consecutive =
+    match
+      List.find_opt
+        (fun (i : Pcu.fault_info) ->
+          i.Pcu.instance.Plugin.instance_id = faulty)
+        (Pcu.fault_report r.Router.pcu)
+    with
+    | Some i -> i.Pcu.consecutive_faults
+    | None -> 0
+  in
+  {
+    outcomes = List.rev !outcomes;
+    icmp_sent = r.Router.icmp_sent;
+    rx = (Router.iface r 0).Iface.counters.Iface.rx_packets;
+    sched_dispatch = counter_get "gate.scheduling.dispatch" - sched0;
+    consecutive;
+  }
+
+let test_sharded_subset () =
+  let both pkts = (subset_run Inline pkts, subset_run (Sharded 1) pkts) in
+  let outcomes = Alcotest.(list string) in
+  let fwd = Ipaddr.v4 192 168 1 1 in
+  (* Local destination: delivered inline, routed on past it sharded. *)
+  let i, s = both (fun () -> [ subset_pkt (Ipaddr.v4 192 168 7 7) ]) in
+  check outcomes "local: delivered inline" [ "absorbed" ] i.outcomes;
+  check outcomes "local: forwarded sharded" [ "fwd:1" ] s.outcomes;
+  (* TTL expiry: the same verdict, but only inline sends the ICMP. *)
+  let i, s = both (fun () -> [ subset_pkt ~ttl:1 fwd ]) in
+  check outcomes "ttl: same verdict" i.outcomes s.outcomes;
+  check outcomes "ttl: expired" [ "drop:ttl expired" ] s.outcomes;
+  check int_t "ttl: icmp sent inline" 1 i.icmp_sent;
+  check int_t "ttl: no icmp sharded" 0 s.icmp_sent;
+  (* DRR bound at the scheduling gate, and interface rx counters:
+     inline only. *)
+  let i, s = both (fun () -> [ subset_pkt fwd; subset_pkt ~sport:1001 fwd ]) in
+  check outcomes "forward: same verdicts" i.outcomes s.outcomes;
+  check int_t "sched gate dispatched inline" 2 i.sched_dispatch;
+  check int_t "sched gate never dispatched sharded" 0 s.sched_dispatch;
+  check int_t "shard meters: no sched dispatch" 0
+    (counter_get "engine.shard0.gate.scheduling.dispatch");
+  check int_t "rx counted inline" 2 i.rx;
+  check int_t "rx not counted sharded" 0 s.rx;
+  (* Success after a fault resets the consecutive count only inline:
+     a shard never reports successes to the PCU. *)
+  let faulting () = List.init 3 (fun _ -> subset_pkt ~sport:4000 fwd) in
+  let i, s = both faulting in
+  check outcomes "faults: same verdicts" i.outcomes s.outcomes;
+  check outcomes "faults: 2nd packet dropped"
+    [ "fwd:1"; "drop:plugin fault"; "fwd:1" ] s.outcomes;
+  check int_t "consecutive reset inline" 0 i.consecutive;
+  check int_t "consecutive kept sharded" 1 s.consecutive;
+  (* Outside the subset: no-route and firewall drops are identical. *)
+  let i, s =
+    both (fun () ->
+        [ subset_pkt (Ipaddr.v4 8 8 8 8); subset_pkt ~proto:Proto.tcp fwd ])
+  in
+  check outcomes "drops: same verdicts" i.outcomes s.outcomes;
+  check outcomes "drops: no route, firewall"
+    [ "drop:no route to destination"; "drop:firewall policy" ] s.outcomes
 
 (* --- batched submit ---------------------------------------------------- *)
 
@@ -954,6 +1122,7 @@ let () =
         [
           Alcotest.test_case "inline engine matches ip_core" `Quick
             test_inline_engine_matches_ip_core;
+          Alcotest.test_case "sharded subset" `Quick test_sharded_subset;
         ] );
       ( "batched",
         [
