@@ -1,4 +1,4 @@
-(* Output helpers and the Bechamel runner used by every section. *)
+(* Output helpers used by every section. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -6,27 +6,6 @@ let section title =
 let subsection title = Printf.printf "\n-- %s --\n" title
 
 let row fmt = Printf.printf fmt
-
-(* Run a grouped Bechamel test and print one "ns/op" line per case. *)
-let run_bechamel ?(quota = 0.5) tests =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) results [] in
-  List.iter
-    (fun name ->
-      let est = Analyze.OLS.estimates (Hashtbl.find results name) in
-      match est with
-      | Some [ ns ] -> Printf.printf "  %-42s %12.1f ns/op\n" name ns
-      | Some _ | None -> Printf.printf "  %-42s  (no estimate)\n" name)
-    (List.sort String.compare names)
 
 (* Simple wall-clock measurement of [f] repeated [n] times, ns each. *)
 let time_ns n f =

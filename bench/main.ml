@@ -21,7 +21,6 @@
      fig-session     unified session subsystem: NAT+conntrack+QoS per-hit cost
      fig-latency     end-to-end latency SLOs: quantiles, exemplars, T3 identity
      fig-zipf        million-flow Zipf long-haul soak (arrival/expiry churn)
-     micro           Bechamel wall-clock micro-benchmarks
 
    Run all sections: [dune exec bench/main.exe]; or name the sections
    to run, e.g. [dune exec bench/main.exe -- table3 fig-drr]. *)
@@ -873,85 +872,6 @@ let fig_grid () =
         got_acc dag_acc;
       Gc.full_major ())
     [ 256; 1024; 4096; 16384 ]
-
-(* ---------------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks.                                             *)
-(* ---------------------------------------------------------------------- *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (wall clock, this machine)";
-  Rp_lpm.Access.set_enabled false;
-  let open Bechamel in
-  (* classifier lookups, one per engine, 1024 bulk filters *)
-  let dag_tests =
-    List.map
-      (fun engine ->
-        let module E = (val engine : Rp_lpm.Lpm_intf.S) in
-        let dag = Workloads.build_dag ~engine ~family:`V4 1024 in
-        let keys = Array.init 256 (fun _ -> Workloads.random_key_v4 ()) in
-        Array.iter (fun k -> ignore (Rp_classifier.Dag.lookup dag k)) keys;
-        let i = ref 0 in
-        Test.make
-          ~name:(Printf.sprintf "dag-lookup-%s-1k-filters" E.name)
-          (Staged.stage (fun () ->
-               incr i;
-               ignore (Rp_classifier.Dag.lookup dag keys.(!i land 255)))))
-      [ Rp_lpm.Engines.patricia; Rp_lpm.Engines.bspl; Rp_lpm.Engines.cpe ]
-  in
-  (* flow table hit *)
-  let ft = Rp_classifier.Flow_table.create ~gates:1 () in
-  let ft_keys =
-    Array.init 4096 (fun i ->
-        Flow_key.make ~src:(Ipaddr.v4 10 1 (i lsr 8) (i land 0xFF))
-          ~dst:(Ipaddr.v4 192 168 1 1) ~proto:Proto.udp ~sport:i ~dport:53
-          ~iface:0)
-  in
-  Array.iter (fun k -> ignore (Rp_classifier.Flow_table.insert ft k ~now:0L)) ft_keys;
-  let fi = ref 0 in
-  let ft_test =
-    Test.make ~name:"flow-table-hit"
-      (Staged.stage (fun () ->
-           incr fi;
-           ignore (Rp_classifier.Flow_table.lookup ft ft_keys.(!fi land 4095) ~now:1L)))
-  in
-  (* full cached data path *)
-  let ifaces = [ Iface.create ~id:0 (); Iface.create ~id:1 () ] in
-  let r = Router.create ~ifaces () in
-  Router.add_route r (Prefix.of_string "192.168.0.0/16") ~iface:1 ();
-  let key =
-    Flow_key.make ~src:(Ipaddr.v4 10 0 0 1) ~dst:(Ipaddr.v4 192 168 1 1)
-      ~proto:Proto.udp ~sport:1 ~dport:2 ~iface:0
-  in
-  let m = Mbuf.synth ~key ~len:1000 () in
-  ignore (Ip_core.process r ~now:0L m);
-  ignore (Iface.dequeue (Router.iface r 1) ~now:0L);
-  let process_test =
-    Test.make ~name:"ip-core-process-cached"
-      (Staged.stage (fun () ->
-           let m = Mbuf.synth ~key ~len:1000 () in
-           (match Ip_core.process r ~now:0L m with
-            | Ip_core.Enqueued out -> ignore (Iface.dequeue (Router.iface r out) ~now:0L)
-            | Ip_core.Delivered_local | Ip_core.Absorbed | Ip_core.Dropped _ -> ())))
-  in
-  (* crypto *)
-  let block = Bytes.make 1500 'x' in
-  let md5_test =
-    Test.make ~name:"md5-1500B" (Staged.stage (fun () -> ignore (Rp_crypto.Md5.digest_bytes block)))
-  in
-  let hmac_test =
-    Test.make ~name:"hmac-md5-1500B"
-      (Staged.stage (fun () -> ignore (Rp_crypto.Hmac.md5_bytes ~key:"k" block 0 1500)))
-  in
-  let rc4 = Rp_crypto.Rc4.create "bench-key" in
-  let rc4_test =
-    Test.make ~name:"rc4-1500B" (Staged.stage (fun () -> Rp_crypto.Rc4.apply rc4 block 0 1500))
-  in
-  let grouped =
-    Test.make_grouped ~name:"rp"
-      (dag_tests @ [ ft_test; process_test; md5_test; hmac_test; rc4_test ])
-  in
-  run_bechamel grouped;
-  Rp_lpm.Access.set_enabled true
 
 (* ---------------------------------------------------------------------- *)
 (* Multicore engine: aggregate throughput scaling across domains.         *)
@@ -2243,7 +2163,6 @@ let sections =
     ("fig-session", fig_session);
     ("fig-latency", fig_latency);
     ("fig-zipf", fig_zipf);
-    ("micro", micro);
   ]
 
 let () =
@@ -2295,6 +2214,6 @@ let () =
     requested;
   match metrics_out with
   | Some path ->
-    Rp_obs.Registry.write_json path;
+    Rp_obs.Registry.(write_file path (json (snapshot ())));
     Printf.printf "\nmetrics written to %s\n" path
   | None -> ()

@@ -69,6 +69,8 @@ let write_flow_log path =
   Printf.printf "flow log written to %s (%d records)\n" path
     (List.length records)
 
+let prom_page () = Rp_obs.Prom.text (Rp_obs.Registry.snapshot ())
+
 (* A unix-socket exposition endpoint: each connection gets one
    rendered Prometheus text page and is closed.  The accept loop runs
    on its own domain and dies with the process. *)
@@ -82,7 +84,7 @@ let start_prom_sock path =
          while true do
            let c, _ = Unix.accept sock in
            (try
-              let text = Rp_obs.Prom.text () in
+              let text = prom_page () in
               let n = String.length text in
               let off = ref 0 in
               while !off < n do
@@ -93,24 +95,109 @@ let start_prom_sock path =
          done));
   Printf.printf "prometheus exposition on %s\n%!" path
 
-(* Sharded-engine run: instead of the event-driven simulator, the
-   flows' packets are pregenerated and pumped through the multicore
-   engine; throughput is reported from the cycle model (aggregate =
-   packets / slowest shard's charged cycles) with wall-clock mpps as
-   an informational figure (wall clock depends on host core count). *)
+(* --- reporting, shared by both engines ------------------------------- *)
+
+let hz = Rp_core.Cost.cpu_mhz *. 1e6
+
 let stats_columns =
   [
     "t_s"; "packets"; "cum_packets"; "model_mpps"; "wall_mpps";
     "p50_cycles"; "p99_cycles";
   ]
 
-(* The aggregate end-to-end latency histogram the data path feeds
-   (Registry get-or-create is idempotent, so this is the same
-   histogram Slo.observe writes). *)
-let slo_hist () =
-  Rp_obs.Registry.histogram ~bounds:Rp_obs.Slo.latency_bounds
-    "slo.latency.cycles"
+(* The --stats-csv series and the --prom-out file.  Each engine drives
+   it with its own clocks: [t_s] is the simulator's time inline and the
+   wall clock sharded, [cycles] the model clock of the domain (inline)
+   or of the busiest shard (sharded), [pkts] the packets completed. *)
+type reporter = {
+  csv : Rp_obs.Csv_stats.t option;
+  prom_out : string option;
+  mutable last_pkts : int;
+  mutable last_cycles : int;
+  mutable last_wall : float;
+}
 
+let reporter ~stats_csv ~prom_out ~cycles =
+  {
+    csv =
+      Option.map
+        (fun path -> Rp_obs.Csv_stats.to_file ~path ~columns:stats_columns)
+        stats_csv;
+    prom_out;
+    last_pkts = 0;
+    last_cycles = cycles;
+    last_wall = Unix.gettimeofday ();
+  }
+
+let write_prom path = Rp_obs.Registry.write_file path (prom_page ())
+
+(* One CSV row for the interval since the last: packets, throughput on
+   the cycle model and on the wall clock, and the p50/p99 of the
+   aggregate latency histogram the data path feeds (Registry
+   get-or-create returns the histogram Slo.observe writes). *)
+let csv_row r ~t_s ~pkts ~cycles =
+  match r.csv with
+  | None -> ()
+  | Some c ->
+    let wall = Unix.gettimeofday () in
+    let n = pkts - r.last_pkts in
+    let mpps dt = if dt > 0.0 then float_of_int n /. dt /. 1e6 else 0.0 in
+    let h =
+      Rp_obs.Registry.histogram ~bounds:Rp_obs.Slo.latency_bounds
+        "slo.latency.cycles"
+    in
+    Rp_obs.Csv_stats.(
+      row c
+        [
+          f3 t_s;
+          i n;
+          i pkts;
+          f6 (mpps (float_of_int (cycles - r.last_cycles) /. hz));
+          f6 (mpps (wall -. r.last_wall));
+          f3 (Rp_obs.Histogram.quantile h 0.5);
+          f3 (Rp_obs.Histogram.quantile h 0.99);
+        ]);
+    r.last_pkts <- pkts;
+    r.last_cycles <- cycles;
+    r.last_wall <- wall
+
+(* One report interval: sample the health probes, rewrite --prom-out,
+   append a CSV row. *)
+let report r ~t_s ~pkts ~cycles =
+  Rp_obs.Health.sample ();
+  Option.iter write_prom r.prom_out;
+  csv_row r ~t_s ~pkts ~cycles
+
+(* Exit, after the engine has printed its summary and stopped: close
+   the CSV, then write the trace, the flow log, a last health sample's
+   --prom-out page and the --metrics-out JSON. *)
+let finish r ~trace_out ~flow_log ~metrics_out =
+  (match r.csv with
+   | Some c ->
+     Rp_obs.Csv_stats.close c;
+     Printf.printf "stats time series written (%d rows)\n"
+       (Rp_obs.Csv_stats.rows c)
+   | None -> ());
+  Option.iter write_trace_out trace_out;
+  Option.iter write_flow_log flow_log;
+  Rp_obs.Health.sample ();
+  Option.iter
+    (fun p ->
+      write_prom p;
+      Printf.printf "prometheus exposition written to %s\n" p)
+    r.prom_out;
+  match metrics_out with
+  | Some path ->
+    Rp_obs.Registry.(write_file path (json (snapshot ())));
+    Printf.printf "\nmetrics written to %s\n" path
+  | None -> ()
+
+(* Sharded-engine run: instead of the event-driven simulator, the
+   flows' packets are pregenerated and pumped through the multicore
+   engine; throughput is reported from the cycle model (aggregate =
+   packets / slowest shard's charged cycles) with wall-clock mpps as
+   an informational figure (wall clock depends on host core count).
+   A report interval is a tenth of the offered packets. *)
 let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
     stats_csv prom_out =
   let open Rp_engine in
@@ -119,7 +206,6 @@ let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
    | Some (count, window_s) -> Engine.set_coalesce e ~count ?window_s ()
    | None -> ());
   let forwarded = ref 0 and dropped = ref 0 and absorbed = ref 0 in
-  let hz = Rp_core.Cost.cpu_mhz *. 1e6 in
   let busiest_cycles () =
     let mx = ref 0 in
     for i = 0 to n - 1 do
@@ -128,56 +214,16 @@ let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
     done;
     !mx
   in
-  (* Periodic reporter: one CSV row per [interval] completed packets
-     (a tenth of the offered load), same model-throughput math as the
-     final summary. *)
-  let csv =
-    Option.map (fun path -> Rp_obs.Csv_stats.to_file ~path ~columns:stats_columns)
-      stats_csv
-  in
   let total_offered =
     List.fold_left
       (fun acc spec -> acc + int_of_float (spec.rate *. seconds))
       0 specs
   in
   let interval = max 1 (total_offered / 10) in
-  let completed = ref 0 in
-  let last_done = ref 0 and last_cycles = ref 0 and next_report = ref interval in
-  let wall0 = Unix.gettimeofday () in
-  let last_wall = ref wall0 in
-  let report () =
-    Rp_obs.Health.sample ();
-    Option.iter (fun p -> Rp_obs.Prom.write p) prom_out;
-    match csv with
-    | None -> ()
-    | Some c ->
-      let cycles = busiest_cycles () in
-      let wall = Unix.gettimeofday () in
-      let pkts = !completed - !last_done in
-      let dcyc = cycles - !last_cycles in
-      let mpps =
-        if dcyc > 0 then float_of_int pkts /. (float_of_int dcyc /. hz) /. 1e6
-        else 0.0
-      in
-      let wall_mpps =
-        let dt = wall -. !last_wall in
-        if dt > 0.0 then float_of_int pkts /. dt /. 1e6 else 0.0
-      in
-      let h = slo_hist () in
-      Rp_obs.Csv_stats.row c
-        [
-          Rp_obs.Csv_stats.f3 (wall -. wall0);
-          Rp_obs.Csv_stats.i pkts;
-          Rp_obs.Csv_stats.i !completed;
-          Rp_obs.Csv_stats.f6 mpps;
-          Rp_obs.Csv_stats.f6 wall_mpps;
-          Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.5);
-          Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.99);
-        ];
-      last_done := !completed;
-      last_cycles := cycles;
-      last_wall := wall
-  in
+  let completed = ref 0 and next_report = ref interval in
+  let r = reporter ~stats_csv ~prom_out ~cycles:(busiest_cycles ()) in
+  let wall0 = r.last_wall in
+  let since_start () = Unix.gettimeofday () -. wall0 in
   let record (res : Shard.result) =
     (match res.Shard.outcome with
      | Shard.Forwarded _ -> incr forwarded
@@ -185,12 +231,12 @@ let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
      | Shard.Absorbed -> incr absorbed);
     incr completed;
     if !completed >= !next_report then begin
-      report ();
+      report r ~t_s:(since_start ()) ~pkts:!completed
+        ~cycles:(busiest_cycles ());
       next_report := !next_report + interval
     end
   in
   let submitted = ref 0 in
-  let t0 = Unix.gettimeofday () in
   List.iter
     (fun spec ->
       let pkts = int_of_float (spec.rate *. seconds) in
@@ -205,18 +251,10 @@ let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
       done)
     specs;
   ignore (Engine.flush e ~f:record);
-  if !completed > !last_done then report ()
-  else begin
-    Rp_obs.Health.sample ();
-    Option.iter (fun p -> Rp_obs.Prom.write p) prom_out
-  end;
-  (match csv with
-   | Some c ->
-     Rp_obs.Csv_stats.close c;
-     Printf.printf "stats time series written (%d rows)\n"
-       (Rp_obs.Csv_stats.rows c)
-   | None -> ());
-  let wall_s = Unix.gettimeofday () -. t0 in
+  if !completed > r.last_pkts then
+    csv_row r ~t_s:(since_start ()) ~pkts:!completed
+      ~cycles:(busiest_cycles ());
+  let wall_s = since_start () in
   let max_cycles = busiest_cycles () in
   let model_s = float_of_int max_cycles /. hz in
   let total = !forwarded + !dropped + !absorbed in
@@ -236,18 +274,7 @@ let run_sharded router n specs seconds coalesce metrics_out trace_out flow_log
   (* Workers have joined: the shards' domain-private flow caches are
      safe to flush, so the flow log covers still-live flows too. *)
   if flow_log <> None then Engine.flush_flows e;
-  Option.iter write_trace_out trace_out;
-  Option.iter write_flow_log flow_log;
-  Option.iter
-    (fun p ->
-      Rp_obs.Prom.write p;
-      Printf.printf "prometheus exposition written to %s\n" p)
-    prom_out;
-  match metrics_out with
-  | Some path ->
-    Rp_obs.Registry.write_json path;
-    Printf.printf "\nmetrics written to %s\n" path
-  | None -> ()
+  finish r ~trace_out ~flow_log ~metrics_out
 
 (* "N" or "N:MS" — publication coalescing batch size and optional
    wall-clock window in milliseconds. *)
@@ -365,67 +392,23 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
              seed = spec.id;
            }))
     specs;
-  (* Periodic stats reporter on the simulator clock: a row per tenth
-     of the traffic duration, throughput from the cycle model (the
-     sim's time axis), wall clock informational. *)
-  let stats =
-    Option.map
-      (fun path -> Rp_obs.Csv_stats.to_file ~path ~columns:stats_columns)
-      stats_csv
-  in
-  if Option.is_some stats || Option.is_some prom_out then begin
+  (* Report on the simulator clock, a tenth of the traffic duration
+     apart. *)
+  let node = s.Rp_sim.Scenario.node in
+  let r = reporter ~stats_csv ~prom_out ~cycles:(Rp_core.Cost.get ()) in
+  if r.csv <> None || r.prom_out <> None then begin
     let interval_ns = Rp_sim.Sim.ns_of_sec (seconds /. 10.0) in
     let stop_ns = Rp_sim.Sim.ns_of_sec seconds in
-    let hz = Rp_core.Cost.cpu_mhz *. 1e6 in
-    let last_pkts = ref 0 in
-    let last_cycles = ref (Rp_core.Cost.get ()) in
-    let last_wall = ref (Unix.gettimeofday ()) in
     let rec plan t =
       Rp_sim.Sim.at s.Rp_sim.Scenario.sim t (fun () ->
-          Rp_obs.Health.sample ();
-          Option.iter (fun p -> Rp_obs.Prom.write p) prom_out;
-          (match stats with
-           | None -> ()
-           | Some c ->
-             let st = Rp_sim.Net.stats s.Rp_sim.Scenario.node in
-             let cycles = Rp_core.Cost.get () in
-             let wall = Unix.gettimeofday () in
-             let pkts = st.Rp_sim.Net.received - !last_pkts in
-             let dcyc = cycles - !last_cycles in
-             let mpps =
-               if dcyc > 0 then
-                 float_of_int pkts /. (float_of_int dcyc /. hz) /. 1e6
-               else 0.0
-             in
-             let wall_mpps =
-               let dt = wall -. !last_wall in
-               if dt > 0.0 then float_of_int pkts /. dt /. 1e6 else 0.0
-             in
-             let h = slo_hist () in
-             Rp_obs.Csv_stats.row c
-               [
-                 Rp_obs.Csv_stats.f3 (Int64.to_float t /. 1e9);
-                 Rp_obs.Csv_stats.i pkts;
-                 Rp_obs.Csv_stats.i st.Rp_sim.Net.received;
-                 Rp_obs.Csv_stats.f6 mpps;
-                 Rp_obs.Csv_stats.f6 wall_mpps;
-                 Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.5);
-                 Rp_obs.Csv_stats.f3 (Rp_obs.Histogram.quantile h 0.99);
-               ];
-             last_pkts := st.Rp_sim.Net.received;
-             last_cycles := cycles;
-             last_wall := wall);
+          report r ~t_s:(Int64.to_float t /. 1e9)
+            ~pkts:(Rp_sim.Net.stats node).Rp_sim.Net.received
+            ~cycles:(Rp_core.Cost.get ());
           if t < stop_ns then plan (Int64.add t interval_ns))
     in
     plan interval_ns
   end;
   Rp_sim.Scenario.run s ~seconds:(seconds +. 1.0);
-  (match stats with
-   | Some c ->
-     Rp_obs.Csv_stats.close c;
-     Printf.printf "stats time series written (%d rows)\n"
-       (Rp_obs.Csv_stats.rows c)
-   | None -> ());
   (* Report. *)
   Printf.printf "\n== per-flow results (%.1f s simulated) ==\n" seconds;
   Printf.printf "%-6s %12s %12s %12s %12s\n" "flow" "packets" "Mb/s" "mean ms" "max ms";
@@ -440,7 +423,7 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
           (mean *. 1e3) (mx *. 1e3)
       | None -> Printf.printf "%-6d (nothing delivered)\n" spec.id)
     specs;
-  let st = Rp_sim.Net.stats s.Rp_sim.Scenario.node in
+  let st = Rp_sim.Net.stats node in
   Printf.printf "\n== router ==\n";
   Printf.printf "received %d, forwarded %d, dropped %d, delivered-local %d\n"
     st.Rp_sim.Net.received st.Rp_sim.Net.forwarded st.Rp_sim.Net.dropped
@@ -449,9 +432,9 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
     (fun (reason, n) -> Printf.printf "  drop[%s] = %d\n" reason n)
     st.Rp_sim.Net.drop_reasons;
   Printf.printf "cycles/packet (P6/233 model): %.0f (= %.2f us)\n"
-    (Rp_sim.Net.cycles_per_packet s.Rp_sim.Scenario.node)
+    (Rp_sim.Net.cycles_per_packet node)
     (Rp_core.Cost.us_of_cycles
-       (int_of_float (Rp_sim.Net.cycles_per_packet s.Rp_sim.Scenario.node)));
+       (int_of_float (Rp_sim.Net.cycles_per_packet node)));
   (match Rp_control.Pmgr.exec router "show flows" with
    | Ok out -> Printf.printf "flow cache: %s\n" out
    | Error _ -> ());
@@ -462,19 +445,7 @@ let main script flows seconds in_ifaces bandwidth_mbps mode_str engine_str
      the flow log and metrics, so both cover in-flight flows. *)
   if flow_log <> None then
     Rp_classifier.Aiu.flush_flows (Rp_core.Router.aiu router);
-  Option.iter write_trace_out trace_out;
-  Option.iter write_flow_log flow_log;
-  Rp_obs.Health.sample ();
-  Option.iter
-    (fun p ->
-      Rp_obs.Prom.write p;
-      Printf.printf "prometheus exposition written to %s\n" p)
-    prom_out;
-  match metrics_out with
-  | Some path ->
-    Rp_obs.Registry.write_json path;
-    Printf.printf "\nmetrics written to %s\n" path
-  | None -> ()
+  finish r ~trace_out ~flow_log ~metrics_out
 
 let script_arg =
   Arg.(value & opt (some file) None
@@ -563,8 +534,9 @@ let slo_arg =
        & info [ "slo" ] ~docv:"CYCLES|off"
            ~doc:"Latency SLO on the model clock: a positive cycle count \
                  sets the breach threshold and arms exemplar capture \
-                 ($(b,pmgr slo exemplars)); $(b,off) disables ingress \
-                 stamping entirely.  Default: stamping on, no threshold.")
+                 ($(b,pmgr slo exemplars)); $(b,off) turns off SLO \
+                 latency observations and exemplars.  Default: SLO \
+                 observations on, no threshold.")
 
 let prom_out_arg =
   Arg.(value & opt (some string) None

@@ -22,7 +22,7 @@
 
    and across modes: the sharded engine forwarded exactly the packets
    the inline engine forwarded.  Writes session-soak.json
-   (rp-metrics/1) for ci/check_session.sh. *)
+   (rp-metrics/3) for ci/check_session.sh. *)
 
 open Rp_pkt
 open Rp_core
@@ -270,7 +270,7 @@ let () =
     (String.equal inline sharded);
   Rp_obs.Registry.set "soak.session.mode_mismatch"
     (if String.equal inline sharded then 0.0 else 1.0);
-  Rp_obs.Registry.write_json "session-soak.json";
+  Rp_obs.Registry.(write_file "session-soak.json" (json (snapshot ())));
   Printf.printf "metrics written to session-soak.json\n";
   if !failures > 0 then begin
     Printf.printf "%d failure(s)\n" !failures;

@@ -371,10 +371,10 @@ let exec_tokens router tokens =
   | [ "show"; what ] -> show router what
   (* The metric registry: the same snapshot the --metrics-out flags
      write.  [pattern] is a substring filter over metric names. *)
-  | [ "stats"; "show" ] -> Ok (Rp_obs.Registry.dump ())
-  | [ "stats"; "show"; pattern ] -> Ok (Rp_obs.Registry.dump ~pattern ())
-  | [ "stats"; "json" ] -> Ok (Rp_obs.Registry.dump_json ())
-  | [ "stats"; "json"; pattern ] -> Ok (Rp_obs.Registry.dump_json ~pattern ())
+  | [ "stats"; "show" ] -> Ok Rp_obs.Registry.(text (snapshot ()))
+  | [ "stats"; "show"; pattern ] -> Ok Rp_obs.Registry.(text (snapshot ~pattern ()))
+  | [ "stats"; "json" ] -> Ok Rp_obs.Registry.(json (snapshot ()))
+  | [ "stats"; "json"; pattern ] -> Ok Rp_obs.Registry.(json (snapshot ~pattern ()))
   | [ "stats"; "reset" ] ->
     Rp_obs.Registry.reset ();
     Ok "counters reset"
@@ -621,7 +621,7 @@ let exec_tokens router tokens =
   | "classifier" :: _ ->
     Error "usage: classifier compiled on|off | classifier show"
   (* Latency SLOs on the deterministic model clock.  [set N] arms
-     exemplar capture; [off] stops stamping entirely (for A/B runs —
+     exemplar capture; [off] stops SLO observation (for A/B runs —
      Table-3 cycles are identical either way). *)
   | [ "slo"; "show" ] -> Ok (Rp_obs.Slo.status ())
   | [ "slo"; "set"; n ] ->

@@ -82,9 +82,9 @@ let[@inline] pending verdicts i = match verdicts.(i) with None -> true | Some _ 
 (* --- latency SLOs ---------------------------------------------------- *)
 
 (* The SLO layer only *reads* the cost-model clock — [Cost.get] is
-   free — so Table-3 cycles are byte-identical with stamping on or
-   off.  [slo_open]/[slo_close] bracket one packet's traversal;
-   [slo_attrib] accumulates per-gate cycles into the mbuf when
+   free — so Table-3 cycles are byte-identical with SLOs on or off.
+   [slo_close] observes the cycles since the packet's ingress stamp;
+   [slo_open] and [slo_attrib] keep per-gate cycles on the mbuf when
    exemplar capture is armed. *)
 
 let slo_class = function
@@ -93,16 +93,13 @@ let slo_class = function
   | Dropped _ -> Rp_obs.Slo.Drop
 
 let slo_open m =
-  if Rp_obs.Slo.on () then begin
-    m.Mbuf.ingress_cycles <- Cost.get ();
-    if Rp_obs.Slo.armed () then begin
-      (* The attribution array is cached on the descriptor (pooled
-         descriptors allocate it once), so the armed steady state stays
-         GC-silent. *)
-      if Array.length m.Mbuf.gate_cycles = 0 then
-        m.Mbuf.gate_cycles <- Array.make Gate.count 0
-      else Array.fill m.Mbuf.gate_cycles 0 Gate.count 0
-    end
+  if Rp_obs.Slo.armed () then begin
+    (* The attribution array is cached on the descriptor (pooled
+       descriptors allocate it once), so the armed steady state stays
+       GC-silent. *)
+    if Array.length m.Mbuf.gate_cycles = 0 then
+      m.Mbuf.gate_cycles <- Array.make Gate.count 0
+    else Array.fill m.Mbuf.gate_cycles 0 Gate.count 0
   end
 
 let slo_attrib m ~gate cycles =
@@ -349,7 +346,7 @@ let enqueue ctx router ~slot ~binding m out =
 (* Per-packet close: drop reason, telemetry end, SLO latency, and
    always-on NetFlow accounting of the packet to its flow record (if
    classification gave it one) at verdict time. *)
-let close ctx m verdict ~t0 =
+let close ctx m verdict =
   (match verdict with
    | Dropped why -> Rp_obs.Drop_reason.count_why why
    | Enqueued _ | Delivered_local | Absorbed -> ());
@@ -363,7 +360,8 @@ let close ctx m verdict ~t0 =
      | Enqueued _ | Delivered_local | Absorbed -> ());
     Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_end ~gate:(-1)
       ~pkt:tseq ~arg:0;
-    Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist (ts - t0)
+    Rp_obs.Histogram.observe Rp_obs.Telemetry.packet_hist
+      (ts - m.Mbuf.ingress_cycles)
   end;
   slo_close ~shard:ctx.shard m verdict;
   Rp_classifier.Flow_table.account
@@ -401,17 +399,16 @@ let tally ctx verdicts n =
    same for a batch as for the packets one at a time; only the
    interleaving of gate invocations across packets differs, so plugins
    whose behavior depends on cross-packet invocation order may observe
-   it.  The per-batch scratch (verdicts, entry stamps) is allocated per
-   call: self-generated traffic (ICMP errors, echo replies) re-enters
+   it.  The per-batch verdict scratch is allocated per call:
+   self-generated traffic (ICMP errors, echo replies) re-enters
    [process] from inside a batch. *)
 let rec run ctx batch ~n ~emit =
   if n < 0 || n > Array.length batch then
     invalid_arg "Ip_core.run: n out of range";
   let verdicts = Array.make n None in
-  let t0s = Array.make n 0 in
   if n > 0 then Rp_obs.Counter.add ctx.tally.packets n;
   for i = 0 to n - 1 do
-    entry ctx batch.(i) ~slot:i verdicts t0s
+    entry ctx batch.(i) ~slot:i verdicts
   done;
   run_gates ctx gates_pre batch verdicts n;
   (match ctx.local with
@@ -430,28 +427,28 @@ let rec run ctx batch ~n ~emit =
   for i = 0 to n - 1 do
     let m = batch.(i) in
     let verdict = match verdicts.(i) with Some v -> v | None -> assert false in
-    close ctx m verdict ~t0:t0s.(i);
+    close ctx m verdict;
     emit m verdict
       (match ctx.sink with Defer events -> List.rev events.(i) | Attribute _ -> [])
   done;
   tally ctx verdicts n
 
-(* Entry: sampling decision, SLO stamp, base-forward charge, arrival
+(* Entry: ingress stamp (read by [close] for the telemetry and SLO
+   latency histograms), sampling decision, base-forward charge, arrival
    accounting, TTL.  Self-generated packets re-enter on fresh mbufs
    and get their own sampling decision.  Nothing in the telemetry path
    charges the cost model, so traced and untraced runs report
    identical Table-3 cycles. *)
-and entry ctx m ~slot verdicts t0s =
+and entry ctx m ~slot verdicts =
   (match ctx.sink with Defer events -> events.(slot) <- [] | Attribute _ -> ());
+  let ts = Cost.get () in
+  m.Mbuf.ingress_cycles <- ts;
   if Rp_obs.Telemetry.on () && m.Mbuf.tseq = 0 then
     m.Mbuf.tseq <- Rp_obs.Telemetry.sample ();
   let tseq = m.Mbuf.tseq in
-  if tseq <> 0 then begin
-    let ts = Cost.get () in
-    t0s.(slot) <- ts;
+  if tseq <> 0 then
     Rp_obs.Telemetry.record ~ts ~kind:Rp_obs.Telemetry.Pkt_start ~gate:(-1)
-      ~pkt:tseq ~arg:m.Mbuf.len
-  end;
+      ~pkt:tseq ~arg:m.Mbuf.len;
   slo_open m;
   Cost.charge Cost.base_forward;
   (match ctx.local with

@@ -3,7 +3,6 @@ type t = {
   bounds : int array;  (* strictly increasing upper bounds *)
   counts : int Atomic.t array;
       (* length = Array.length bounds + 1; last = overflow *)
-  total : int Atomic.t;
   sum : int Atomic.t;
 }
 
@@ -20,7 +19,6 @@ let make ?(bounds = default_bounds) name =
     name;
     bounds = Array.copy bounds;
     counts = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
-    total = Atomic.make 0;
     sum = Atomic.make 0;
   }
 
@@ -42,10 +40,11 @@ let bucket_index t v =
 
 let observe t v =
   Atomic.incr t.counts.(bucket_index t v);
-  Atomic.incr t.total;
   ignore (Atomic.fetch_and_add t.sum v)
 
-let total t = Atomic.get t.total
+let bounds t = Array.copy t.bounds
+let counts t = Array.map Atomic.get t.counts
+let total t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
 let sum t = Atomic.get t.sum
 
 (* Quantile by linear interpolation *within* the containing bucket.
@@ -55,22 +54,21 @@ let sum t = Atomic.get t.sum
    first bucket's lower edge is 0; the overflow bucket has no upper
    edge, so ranks landing there report the last finite bound (a
    conservative lower bound on the true value). *)
-let quantile t q =
+let quantile_of_counts ~bounds counts q =
   let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
-  let counts = Array.map Atomic.get t.counts in
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then 0.0
   else begin
-    let n = Array.length t.bounds in
+    let n = Array.length bounds in
     let target = q *. float_of_int total in
     let rec go i acc =
-      if i >= n then float_of_int t.bounds.(n - 1)
+      if i >= n then float_of_int bounds.(n - 1)
       else begin
         let c = counts.(i) in
         let acc' = acc + c in
         if c > 0 && float_of_int acc' >= target then begin
-          let lo = if i = 0 then 0.0 else float_of_int t.bounds.(i - 1) in
-          let hi = float_of_int t.bounds.(i) in
+          let lo = if i = 0 then 0.0 else float_of_int bounds.(i - 1) in
+          let hi = float_of_int bounds.(i) in
           let frac = (target -. float_of_int acc) /. float_of_int c in
           let frac = if frac < 0.0 then 0.0 else frac in
           lo +. ((hi -. lo) *. frac)
@@ -80,10 +78,9 @@ let quantile t q =
     in
     go 0 0
   end
-let bounds t = Array.copy t.bounds
-let counts t = Array.map Atomic.get t.counts
+
+let quantile t q = quantile_of_counts ~bounds:t.bounds (counts t) q
 
 let reset t =
   Array.iter (fun c -> Atomic.set c 0) t.counts;
-  Atomic.set t.total 0;
   Atomic.set t.sum 0

@@ -6,9 +6,8 @@
    (the repo's dotted names contain nothing else).  Counters and
    gauges render as single samples; histograms render in the standard
    cumulative form — [_bucket{le="..."}] series ending in [+Inf], then
-   [_sum] and [_count].  Bucket counts and [_count] come from one
-   [Histogram.counts] snapshot so a scrape is internally consistent
-   even while other domains observe. *)
+   [_sum] and [_count].  A page renders one [Registry.snapshot], so it
+   is internally consistent even while other domains observe. *)
 
 let sanitize name =
   String.map
@@ -18,59 +17,30 @@ let sanitize name =
       | _ -> '_')
     ("rp_" ^ name)
 
-(* Prometheus floats: plain decimal, no NaN/inf (a broken gauge reads
-   0, matching the registry's JSON dump). *)
-let float_str v =
-  if not (Float.is_finite v) then "0"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
-let text ?pattern () =
+let text snap =
   let b = Buffer.create 8192 in
   List.iter
-    (fun name ->
-      match Registry.find name with
-      | None -> ()
-      | Some src ->
-        let pname = sanitize name in
-        (match src with
-         | Registry.Counter c ->
-           Buffer.add_string b
-             (Printf.sprintf "# TYPE %s counter\n%s %d\n" pname pname
-                (Counter.get c))
-         | Registry.Gauge g ->
-           Buffer.add_string b
-             (Printf.sprintf "# TYPE %s gauge\n%s %s\n" pname pname
-                (float_str (Gauge.read g)))
-         | Registry.Histogram h ->
-           Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" pname);
-           let bounds = Histogram.bounds h and counts = Histogram.counts h in
-           let acc = ref 0 in
-           Array.iteri
-             (fun i c ->
-               acc := !acc + c;
-               let le =
-                 if i < Array.length bounds then string_of_int bounds.(i)
-                 else "+Inf"
-               in
-               Buffer.add_string b
-                 (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" pname le !acc))
-             counts;
-           Buffer.add_string b
-             (Printf.sprintf "%s_sum %d\n%s_count %d\n" pname
-                (Histogram.sum h) pname !acc)))
-    (Registry.names ?pattern ());
+    (fun (name, v) ->
+      let pname = sanitize name in
+      match v with
+      | Registry.Int n ->
+        Printf.bprintf b "# TYPE %s counter\n%s %d\n" pname pname n
+      | Registry.Float f ->
+        Printf.bprintf b "# TYPE %s gauge\n%s %s\n" pname pname
+          (Registry.float_str f)
+      | Registry.Hist h ->
+        Printf.bprintf b "# TYPE %s histogram\n" pname;
+        let acc = ref 0 in
+        Array.iteri
+          (fun i c ->
+            acc := !acc + c;
+            Printf.bprintf b "%s_bucket{le=\"%s\"} %d\n" pname
+              (Registry.bucket_label ~inf:"+Inf" h i) !acc)
+          h.Registry.counts;
+        Printf.bprintf b "%s_sum %d\n%s_count %d\n" pname h.Registry.sum pname
+          !acc)
+    snap;
   Buffer.contents b
-
-let write ?pattern path =
-  (* Write-then-rename so a scraper never reads a half-written file:
-     the report loop rewrites this every interval while the router
-     runs. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (text ?pattern ());
-  close_out oc;
-  Sys.rename tmp path
 
 (* --- lint ------------------------------------------------------------ *)
 

@@ -4,14 +4,11 @@
     samples under a [# TYPE] line, histograms render in the standard
     cumulative form ([_bucket{le="..."}] ending in [+Inf], then
     [_sum]/[_count]).  [rp_router --prom-out FILE] rewrites this every
-    report interval (atomically, write-then-rename) and
+    report interval (atomically, {!Registry.write_file}) and
     [--prom-sock PATH] serves it per connection. *)
 
-(** Render the exposition for all (or [pattern]-matching) metrics. *)
-val text : ?pattern:string -> unit -> string
-
-(** [write path] atomically replaces [path] with {!text}. *)
-val write : ?pattern:string -> string -> unit
+(** Render the exposition of a registry snapshot. *)
+val text : Registry.snapshot -> string
 
 (** Exposition name for a registry metric name ([rp_] prefix,
     non-alphanumerics to underscores). *)

@@ -57,17 +57,6 @@ let matches pattern name =
     let rec at i = i + np <= nn && (String.sub name i np = p || at (i + 1)) in
     np = 0 || at 0
 
-let names_unlocked ?pattern () =
-  Hashtbl.fold
-    (fun n _ acc -> if matches pattern n then n :: acc else acc)
-    tbl []
-  |> List.sort String.compare
-
-let sources_unlocked ?pattern () =
-  List.filter_map (fun n -> Hashtbl.find_opt tbl n) (names_unlocked ?pattern ())
-
-let names ?pattern () = locked (fun () -> names_unlocked ?pattern ())
-
 let reset () =
   locked (fun () ->
       Hashtbl.iter
@@ -78,49 +67,64 @@ let reset () =
           | Gauge _ -> ())
         tbl)
 
-(* --- rendering ------------------------------------------------------ *)
+(* --- the one export read ------------------------------------------- *)
 
-(* JSON has no NaN/inf; a broken gauge reads as 0 rather than
-   invalidating the whole dump. *)
+type hist = { bounds : int array; counts : int array; sum : int }
+type value = Int of int | Float of float | Hist of hist
+type snapshot = (string * value) list
+
+let read = function
+  | Counter c -> Int (Counter.get c)
+  | Gauge g -> Float (Gauge.read g)
+  | Histogram h ->
+    Hist
+      { bounds = Histogram.bounds h; counts = Histogram.counts h;
+        sum = Histogram.sum h }
+
+(* One lock for the whole table: [reset] takes the same lock, so a
+   snapshot never interleaves with a reset half-way through the table
+   and reports some metrics zeroed and others not.  (Individual reads
+   racing data-path increments remain momentary values — that is
+   fine; partially-applied *resets* were the bug.)  Gauge callbacks
+   therefore must not call back into the registry. *)
+let snapshot ?pattern () =
+  locked (fun () ->
+      Hashtbl.fold
+        (fun name src acc ->
+          if matches pattern name then (name, read src) :: acc else acc)
+        tbl [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let count h = Array.fold_left ( + ) 0 h.counts
+
+(* --- writers: pure functions of a snapshot --------------------------- *)
+
+(* JSON and the Prometheus text format have no NaN/inf; a broken gauge
+   reads as 0 rather than invalidating the whole page. *)
 let float_str v =
   if not (Float.is_finite v) then "0"
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-(* Dumps render while HOLDING the registry lock: [reset] takes the
-   same lock, so a dump never interleaves with a reset half-way
-   through the table and reports some metrics zeroed and others not.
-   (Individual counter reads racing data-path increments remain
-   momentary snapshots — that is fine; partially-applied *resets* were
-   the bug.)  Gauge callbacks therefore must not call back into the
-   registry. *)
-let dump ?pattern () =
-  locked (fun () ->
-      let b = Buffer.create 1024 in
-      List.iter
-        (fun s ->
-          match s with
-          | Counter c -> Buffer.add_string b
-              (Printf.sprintf "%s %d\n" (Counter.name c) (Counter.get c))
-          | Gauge g -> Buffer.add_string b
-              (Printf.sprintf "%s %s\n" (Gauge.name g)
-                 (float_str (Gauge.read g)))
-          | Histogram h ->
-            Buffer.add_string b
-              (Printf.sprintf "%s count=%d sum=%d" (Histogram.name h)
-                 (Histogram.total h) (Histogram.sum h));
-            let bounds = Histogram.bounds h and counts = Histogram.counts h in
-            Array.iteri
-              (fun i c ->
-                let label =
-                  if i < Array.length bounds then string_of_int bounds.(i)
-                  else "+inf"
-                in
-                Buffer.add_string b (Printf.sprintf " le%s=%d" label c))
-              counts;
-            Buffer.add_char b '\n')
-        (sources_unlocked ?pattern ());
-      Buffer.contents b)
+let bucket_label ~inf h i =
+  if i < Array.length h.bounds then string_of_int h.bounds.(i) else inf
+
+let text snap =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Int k -> Printf.bprintf b "%s %d\n" name k
+      | Float f -> Printf.bprintf b "%s %s\n" name (float_str f)
+      | Hist h ->
+        Printf.bprintf b "%s count=%d sum=%d" name (count h) h.sum;
+        Array.iteri
+          (fun i c ->
+            Printf.bprintf b " le%s=%d" (bucket_label ~inf:"+inf" h i) c)
+          h.counts;
+        Buffer.add_char b '\n')
+    snap;
+  Buffer.contents b
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -146,55 +150,45 @@ let schema_version = 3
 
 (* One metric per line, keys sorted: dumps diff cleanly and simple
    line-oriented tools (the CI bench gate) can extract values without
-   a JSON parser.  Rendered under the registry lock — see [dump]. *)
-let dump_json ?pattern () =
-  locked (fun () ->
-      let b = Buffer.create 4096 in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\n  \"schema\": \"rp-metrics/%d\",\n  \"schema_version\": %d,\n\
-           \  \"metrics\": {\n"
-           schema_version schema_version);
-      let srcs = sources_unlocked ?pattern () in
-      let n = List.length srcs in
-      List.iteri
-        (fun i s ->
-          let key name = Printf.sprintf "    \"%s\": " (json_escape name) in
-          (match s with
-           | Counter c ->
-             Buffer.add_string b (key (Counter.name c));
-             Buffer.add_string b (string_of_int (Counter.get c))
-           | Gauge g ->
-             Buffer.add_string b (key (Gauge.name g));
-             Buffer.add_string b (float_str (Gauge.read g))
-           | Histogram h ->
-             Buffer.add_string b (key (Histogram.name h));
-             Buffer.add_string b
-               (Printf.sprintf
-                  "{\"count\": %d, \"sum\": %d, \"p50\": %s, \"p90\": %s, \
-                   \"p99\": %s, \"p999\": %s, \"buckets\": {"
-                  (Histogram.total h) (Histogram.sum h)
-                  (float_str (Histogram.quantile h 0.50))
-                  (float_str (Histogram.quantile h 0.90))
-                  (float_str (Histogram.quantile h 0.99))
-                  (float_str (Histogram.quantile h 0.999)));
-             let bounds = Histogram.bounds h and counts = Histogram.counts h in
-             Array.iteri
-               (fun j c ->
-                 let label =
-                   if j < Array.length bounds then string_of_int bounds.(j)
-                   else "+inf"
-                 in
-                 if j > 0 then Buffer.add_string b ", ";
-                 Buffer.add_string b (Printf.sprintf "\"%s\": %d" label c))
-               counts;
-             Buffer.add_string b "}}");
-          Buffer.add_string b (if i < n - 1 then ",\n" else "\n"))
-        srcs;
-      Buffer.add_string b "  }\n}\n";
-      Buffer.contents b)
+   a JSON parser. *)
+let json snap =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b
+    "{\n  \"schema\": \"rp-metrics/%d\",\n  \"schema_version\": %d,\n\
+    \  \"metrics\": {\n"
+    schema_version schema_version;
+  let last = List.length snap - 1 in
+  List.iteri
+    (fun i (name, v) ->
+      Printf.bprintf b "    \"%s\": " (json_escape name);
+      (match v with
+       | Int k -> Buffer.add_string b (string_of_int k)
+       | Float f -> Buffer.add_string b (float_str f)
+       | Hist h ->
+         let q = Histogram.quantile_of_counts ~bounds:h.bounds h.counts in
+         Printf.bprintf b
+           "{\"count\": %d, \"sum\": %d, \"p50\": %s, \"p90\": %s, \
+            \"p99\": %s, \"p999\": %s, \"buckets\": {"
+           (count h) h.sum
+           (float_str (q 0.50)) (float_str (q 0.90))
+           (float_str (q 0.99)) (float_str (q 0.999));
+         Array.iteri
+           (fun j c ->
+             if j > 0 then Buffer.add_string b ", ";
+             Printf.bprintf b "\"%s\": %d" (bucket_label ~inf:"+inf" h j) c)
+           h.counts;
+         Buffer.add_string b "}}");
+      Buffer.add_string b (if i < last then ",\n" else "\n"))
+    snap;
+  Buffer.add_string b "  }\n}\n";
+  Buffer.contents b
 
-let write_json ?pattern path =
-  let oc = open_out path in
-  output_string oc (dump_json ?pattern ());
-  close_out oc
+(* Write-then-rename so a reader never sees a half-written file: the
+   report loops rewrite their exports every interval while the router
+   runs. *)
+let write_file path contents =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  output_string oc contents;
+  close_out oc;
+  Sys.rename tmp path

@@ -3,13 +3,14 @@
     Every named metric of the data path lives here: modules create
     their counters/histograms at load time (so a dump always shows the
     full schema, zeros included), schedulers register per-instance
-    depth gauges at instance creation, and the three export surfaces —
-    [pmgr stats show], the [--metrics-out] flags, and tests — read the
-    same table.
+    depth gauges at instance creation.  Every export reads the table
+    through {!snapshot} — one read under one lock — and renders that
+    value with one of three pure writers: {!text} ([pmgr stats show]),
+    {!json} ([pmgr stats json], the [--metrics-out] flags) and
+    [Prom.text] ([--prom-out], [--prom-sock]).
 
     Names are dotted lowercase paths ([flow_table.hits],
-    [gate.routing.dispatch], [sched.drr.1.backlog]); dumps are sorted
-    by name, so equal registry state yields byte-equal output. *)
+    [gate.routing.dispatch], [sched.drr.1.backlog]). *)
 
 type source =
   | Counter of Counter.t
@@ -34,31 +35,58 @@ val set : string -> float -> unit
 val find : string -> source option
 val remove : string -> unit
 
-(** Registered names containing [pattern] (substring; default all),
-    sorted. *)
-val names : ?pattern:string -> unit -> string list
-
 (** Reset all counters and histograms; gauges are left alone.  Runs
     under the registry lock, and counter resets swap stripes
-    atomically, so a concurrent {!dump} never observes a
+    atomically, so a concurrent {!snapshot} never observes a
     partially-reset registry. *)
 val reset : unit -> unit
 
-(** The integer schema version emitted in {!dump_json} (and mirrored
-    in the ["rp-metrics/<n>"] schema string).  Bump on any change a
+(** {1 Export} *)
+
+(** A histogram as read: its bucket bounds, one read of its bucket
+    counts ([Array.length bounds + 1] entries, the last the overflow
+    bucket) and its sum.  The observation count is the sum of
+    [counts]. *)
+type hist = { bounds : int array; counts : int array; sum : int }
+
+(** A counter's value, a gauge's reading, or a histogram. *)
+type value = Int of int | Float of float | Hist of hist
+
+(** Metric values sorted by name. *)
+type snapshot = (string * value) list
+
+(** Read every (or every [pattern]-matching, by substring) metric
+    once, under the registry lock, so a snapshot never interleaves
+    with {!reset}.  Gauge callbacks run here and must not call back
+    into the registry.  Equal registry state yields equal snapshots,
+    hence byte-equal pages from every writer. *)
+val snapshot : ?pattern:string -> unit -> snapshot
+
+(** The number format every writer uses: integral values without a
+    fraction, others as [%g], and non-finite values as ["0"]. *)
+val float_str : float -> string
+
+(** [bucket_label ~inf h i] — bucket [i]'s upper bound, or [inf] for
+    the overflow bucket. *)
+val bucket_label : inf:string -> hist -> int -> string
+
+(** Text page: one ["name value"] line per metric; a histogram line
+    carries [count=], [sum=] and one [le<bound>=] field per bucket. *)
+val text : snapshot -> string
+
+(** The integer schema version emitted by {!json} (and mirrored in the
+    ["rp-metrics/<n>"] schema string).  Bump on any change a
     line-oriented consumer could notice. *)
 val schema_version : int
 
-(** Text snapshot: one ["name value"] line per metric, sorted.
-    Rendered under the registry lock (serialized against {!reset});
-    gauge callbacks must not call back into the registry. *)
-val dump : ?pattern:string -> unit -> string
+(** JSON page, schema [rp-metrics/3]: a ["schema_version"] field, then
+    one metric per line (greppable by the CI gates without a JSON
+    parser); histograms carry count, sum, p50/p90/p99/p999 (from
+    {!Histogram.quantile_of_counts} over the same counts) and their
+    buckets. *)
+val json : snapshot -> string
 
-(** JSON snapshot, schema [rp-metrics/3]: a ["schema_version"] field,
-    then sorted keys one metric per line (greppable by the CI bench
-    gate without a JSON parser); histograms include p50/p90/p99/p999
-    from {!Histogram.quantile}.  Rendered under the registry lock. *)
-val dump_json : ?pattern:string -> unit -> string
-
-(** [write_json path] writes {!dump_json} to [path]. *)
-val write_json : ?pattern:string -> string -> unit
+(** [write_file path contents] replaces [path] atomically: it writes
+    [path ^ ".tmp"] and renames it over [path], so a reader never sees
+    a half-written page. *)
+val write_file : string -> string -> unit

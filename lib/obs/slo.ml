@@ -39,8 +39,8 @@ let get_threshold () = Atomic.get threshold
 let set_threshold n = Atomic.set threshold (max 0 n)
 
 (* Exemplar capture (and the per-gate attribution it needs) only runs
-   once an SLO is actually configured; pure stamping stays a two-int
-   affair per packet. *)
+   once an SLO is actually configured; plain observation stays two
+   histogram increments per packet. *)
 let armed () = Atomic.get stamping && Atomic.get threshold > 0
 
 let is_breach cycles =

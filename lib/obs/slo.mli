@@ -24,8 +24,8 @@ val cls_name : cls -> string
     for bucket. *)
 val latency_bounds : int array
 
-(** Whether ingress stamping (and latency observation) is enabled.
-    Default on. *)
+(** Whether SLO latency observation (and, with a threshold, exemplar
+    capture) is enabled.  Default on. *)
 val on : unit -> bool
 
 val set_stamping : bool -> unit

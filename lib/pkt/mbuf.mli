@@ -61,9 +61,11 @@ type t = {
           synthetic packets so connection tracking sees SYN/FIN/RST on
           generator traffic too. *)
   mutable ingress_cycles : int;
-      (** SLO stamp: the processing domain's {!Cost} clock at ingress.
-          Read-only for the latency histograms — never charged — so
-          Table-3 cycles are identical with stamping on or off. *)
+      (** Ingress stamp: the processing domain's {!Cost} clock when
+          the packet entered the data path, set once per traversal and
+          read by the telemetry and SLO latency histograms — never
+          charged, so Table-3 cycles are identical traced or untraced
+          and with SLOs on or off. *)
   mutable gate_cycles : int array;
       (** per-gate cycle attribution for SLO exemplars, indexed by
           gate id; [[||]] until exemplar capture is armed, after which

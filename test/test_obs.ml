@@ -212,6 +212,9 @@ let test_registry_gauge_replace () =
    | _ -> Alcotest.fail "gauge not found");
   Registry.remove "t.reg.g"
 
+let remove_matching pattern =
+  List.iter (fun (n, _) -> Registry.remove n) (Registry.snapshot ~pattern ())
+
 let test_registry_dump_deterministic () =
   (* Register in shuffled order: dumps sort by name, so two snapshots
      of equal state are byte-equal regardless of insertion order. *)
@@ -219,15 +222,136 @@ let test_registry_dump_deterministic () =
     (fun n -> Counter.add (Registry.counter ("t.det." ^ n)) 7)
     [ "zeta"; "alpha"; "mid" ];
   Registry.set "t.det.gauge" 1.5;
-  let d1 = Registry.dump ~pattern:"t.det." () in
-  let d2 = Registry.dump ~pattern:"t.det." () in
+  let snap () = Registry.snapshot ~pattern:"t.det." () in
+  let d1 = Registry.text (snap ()) in
+  let d2 = Registry.text (snap ()) in
   check string_t "byte-equal dumps" d1 d2;
   check string_t "sorted, one per line"
     "t.det.alpha 7\nt.det.gauge 1.5\nt.det.mid 7\nt.det.zeta 7\n" d1;
-  let j1 = Registry.dump_json ~pattern:"t.det." () in
-  let j2 = Registry.dump_json ~pattern:"t.det." () in
+  let j1 = Registry.json (snap ()) in
+  let j2 = Registry.json (snap ()) in
   check string_t "byte-equal JSON" j1 j2;
-  List.iter Registry.remove (Registry.names ~pattern:"t.det." ())
+  remove_matching "t.det."
+
+(* A fixed registry renders byte-for-byte as the three writers have
+   always rendered it: the pages below are the text, rp-metrics/3 and
+   Prometheus output of the per-writer registry walks the snapshot
+   writers replaced. *)
+let test_registry_golden_pages () =
+  Counter.add (Registry.counter "t.gold.c") 42;
+  Registry.set "t.gold.g" 2.5;
+  Registry.set "t.gold.big" 1e20;
+  Registry.gauge "t.gold.nan" (fun () -> Float.nan);
+  let h = Registry.histogram ~bounds:[| 10; 20; 30 |] "t.gold.h" in
+  List.iter (Histogram.observe h) [ 5; 15; 15; 25; 40 ];
+  let snap = Registry.snapshot ~pattern:"t.gold." () in
+  check string_t "text"
+    "t.gold.big 1e+20\n\
+     t.gold.c 42\n\
+     t.gold.g 2.5\n\
+     t.gold.h count=5 sum=100 le10=1 le20=2 le30=1 le+inf=1\n\
+     t.gold.nan 0\n"
+    (Registry.text snap);
+  check string_t "json"
+    "{\n\
+    \  \"schema\": \"rp-metrics/3\",\n\
+    \  \"schema_version\": 3,\n\
+    \  \"metrics\": {\n\
+    \    \"t.gold.big\": 1e+20,\n\
+    \    \"t.gold.c\": 42,\n\
+    \    \"t.gold.g\": 2.5,\n\
+    \    \"t.gold.h\": {\"count\": 5, \"sum\": 100, \"p50\": 17.5, \"p90\": \
+     30, \"p99\": 30, \"p999\": 30, \"buckets\": {\"10\": 1, \"20\": 2, \
+     \"30\": 1, \"+inf\": 1}},\n\
+    \    \"t.gold.nan\": 0\n\
+    \  }\n\
+     }\n"
+    (Registry.json snap);
+  check string_t "prometheus"
+    "# TYPE rp_t_gold_big gauge\n\
+     rp_t_gold_big 1e+20\n\
+     # TYPE rp_t_gold_c counter\n\
+     rp_t_gold_c 42\n\
+     # TYPE rp_t_gold_g gauge\n\
+     rp_t_gold_g 2.5\n\
+     # TYPE rp_t_gold_h histogram\n\
+     rp_t_gold_h_bucket{le=\"10\"} 1\n\
+     rp_t_gold_h_bucket{le=\"20\"} 3\n\
+     rp_t_gold_h_bucket{le=\"30\"} 4\n\
+     rp_t_gold_h_bucket{le=\"+Inf\"} 5\n\
+     rp_t_gold_h_sum 100\n\
+     rp_t_gold_h_count 5\n\
+     # TYPE rp_t_gold_nan gauge\n\
+     rp_t_gold_nan 0\n"
+    (Prom.text snap);
+  remove_matching "t.gold."
+
+(* Pages rendered while another domain observes must still be
+   internally consistent: every histogram's count is the sum of the
+   buckets shown with it, and every Prometheus page lints.  Each page
+   takes its own snapshot, as every export surface does. *)
+let test_registry_concurrent_render () =
+  let h = Registry.histogram ~bounds:[| 10; 100; 1000 |] "t.conc.h" in
+  let c = Registry.counter "t.conc.c" in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          Histogram.observe h (!i land 2047);
+          Counter.inc c;
+          incr i
+        done)
+  in
+  let sum l = List.fold_left (fun acc v -> acc + int_of_string v) 0 l in
+  (* The rest of [s] after the first [sep]. *)
+  let after sep s =
+    let n = String.length sep in
+    let rec go i =
+      if String.sub s i n = sep then String.sub s (i + n) (String.length s - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let line prefix page =
+    List.find (String.starts_with ~prefix) (String.split_on_char '\n' page)
+  in
+  (* t.conc.h count=N sum=S le10=a le100=b le1000=c le+inf=d *)
+  let text_ok page =
+    match String.split_on_char ' ' (line "t.conc.h " page) with
+    | _ :: count :: _sum :: buckets ->
+      int_of_string (after "=" count) = sum (List.map (after "=") buckets)
+    | _ -> false
+  in
+  (* "t.conc.h": {"count": N, ..., "buckets": {"10": a, ..., "+inf": d}} *)
+  let json_ok page =
+    let l = line "    \"t.conc.h\"" page in
+    let count = List.hd (String.split_on_char ',' (after "\"count\": " l)) in
+    let buckets = List.hd (String.split_on_char '}' (after "\"buckets\": {" l)) in
+    int_of_string count
+    = sum (List.map (after ": ") (String.split_on_char ',' buckets))
+  in
+  let failures = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join writer)
+    (fun () ->
+      (* Render only once the writer is running: a domain can take
+         longer to start than the renders take to finish. *)
+      while Histogram.total h = 0 do Domain.cpu_relax () done;
+      for _ = 1 to 1000 do
+        let snap () = Registry.snapshot ~pattern:"t.conc." () in
+        if not (text_ok (Registry.text (snap ()))) then
+          failures := "text" :: !failures;
+        if not (json_ok (Registry.json (snap ()))) then
+          failures := "json" :: !failures;
+        match Prom.lint (Prom.text (snap ())) with
+        | Ok _ -> ()
+        | Error e -> failures := ("prometheus: " ^ e) :: !failures
+      done);
+  check (Alcotest.list string_t) "every page consistent" [] !failures;
+  remove_matching "t.conc."
 
 let test_registry_reset () =
   let c = Registry.counter "t.rst.c" in
@@ -336,9 +460,9 @@ let json_valid s =
 let test_registry_json_valid () =
   (* The full registry, data-path metrics and all. *)
   check bool_t "syntax checker accepts emitter output" true
-    (json_valid (Registry.dump_json ()));
+    (json_valid (Registry.json (Registry.snapshot ())));
   check bool_t "filtered dump also valid" true
-    (json_valid (Registry.dump_json ~pattern:"flow_table" ()));
+    (json_valid (Registry.json (Registry.snapshot ~pattern:"flow_table" ())));
   (* Sanity: the checker itself rejects garbage. *)
   check bool_t "checker rejects garbage" false (json_valid "{\"a\": }")
 
@@ -453,7 +577,7 @@ let test_flowlog_json () =
 
 let test_schema_version () =
   check int_t "schema_version is 3" 3 Registry.schema_version;
-  let j = Registry.dump_json () in
+  let j = Registry.json (Registry.snapshot ()) in
   check bool_t "schema string in step" true
     (contains ~needle:"\"schema\": \"rp-metrics/3\"" j);
   check bool_t "schema_version field present" true
@@ -597,6 +721,9 @@ let () =
           Alcotest.test_case "gauge replace" `Quick test_registry_gauge_replace;
           Alcotest.test_case "deterministic dump" `Quick
             test_registry_dump_deterministic;
+          Alcotest.test_case "golden pages" `Quick test_registry_golden_pages;
+          Alcotest.test_case "concurrent render" `Quick
+            test_registry_concurrent_render;
           Alcotest.test_case "reset" `Quick test_registry_reset;
           Alcotest.test_case "json validity" `Quick test_registry_json_valid;
           Alcotest.test_case "schema version" `Quick test_schema_version;

@@ -338,7 +338,7 @@ let test_health_probes () =
 let test_prom_roundtrip () =
   (* The live registry (counters, gauges, histograms from every suite
      that ran before this one) must pass its own linter. *)
-  (match Prom.lint (Prom.text ()) with
+  (match Prom.lint (Prom.text (Rp_obs.Registry.snapshot ())) with
    | Ok n -> check bool_t "samples rendered" true (n > 0)
    | Error e -> Alcotest.failf "exposition fails its own lint: %s" e);
   check string_t "name sanitization" "rp_slo_latency_cycles"
